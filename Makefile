@@ -1,12 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend race-check
+.PHONY: check test test-stress lint selflint ruff chaos chaos-parallel bench-smoke bench-compare bench-scale bench-trend race-check perfbench-test
 
 check: test selflint chaos ruff
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# the benchmark of record's self-tests (perfbench/NOTES.md); tier-1
+# collects only tests/, so they run as their own step
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench/tests
 
 # opt-in stress/soak tier: worker-kill chaos, wave batching, and the
 # columnar format all at once, plus leaked-process / leaked-fd checks.

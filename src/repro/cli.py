@@ -824,6 +824,22 @@ def _profile_run(query, rows, args, tracer):
     return timr, timr.run(query, num_partitions=args.partitions)
 
 
+def _group_wave_totals(tracer) -> dict:
+    """Totals of the per-wave GroupApply histograms: how many chains the
+    waves advanced against how many were active."""
+    sums = {}
+    for metric in tracer.metrics.snapshot():
+        if metric["name"] in ("dataflow.wave_width", "dataflow.chains_advanced"):
+            sums[metric["name"]] = metric["value"]
+    width = sums.get("dataflow.wave_width", {"count": 0, "sum": 0})
+    advanced = sums.get("dataflow.chains_advanced", {"sum": 0})
+    return {
+        "waves": width["count"],
+        "active_chains": width["sum"],
+        "chains_advanced": advanced["sum"],
+    }
+
+
 def _cmd_profile(args) -> int:
     import json as _json
     import os
@@ -918,6 +934,7 @@ def _cmd_profile(args) -> int:
     by_category: dict = {}
     for span in spans:
         by_category[span.category] = by_category.get(span.category, 0) + 1
+    group_waves = _group_wave_totals(tracer)
     summary = {
         "command": "profile",
         "pipeline": args.pipeline,
@@ -932,6 +949,7 @@ def _cmd_profile(args) -> int:
         "jsonl_lines": jsonl_lines,
         "calibration": calibration.as_dict(),
         "parallel": result.parallel,
+        "group_waves": group_waves,
         "wall_seconds": round(parallel_wall, 6),
     }
     if attribution is not None:
@@ -958,6 +976,12 @@ def _cmd_profile(args) -> int:
     print()
     print("optimizer calibration (estimated vs observed cardinalities):")
     print(calibration.render())
+    print()
+    print(
+        f"group waves: {group_waves['waves']} wave(s) advanced "
+        f"{group_waves['chains_advanced']} of "
+        f"{group_waves['active_chains']} active chain visit(s)"
+    )
     if result.parallel is not None:
         recovery = result.parallel.get("recovery", {})
         active = {k: v for k, v in sorted(recovery.items()) if v}

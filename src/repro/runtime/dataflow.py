@@ -33,6 +33,7 @@ operator object over the buffered input.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time as _time
 import warnings
@@ -50,6 +51,7 @@ from ..temporal.plan import (
     ProjectNode,
     SourceNode,
     WhereNode,
+    subplan_streaming_future,
     topological_order,
 )
 from ..temporal.time import MAX_TIME, MIN_TIME
@@ -127,13 +129,21 @@ class _PlanMeta:
     and consumer lists are computed once and reused by every chain.
     """
 
-    __slots__ = ("order", "futures", "consumers")
+    __slots__ = ("order", "futures", "consumers", "delay")
 
     def __init__(self, root: PlanNode):
         self.order = topological_order(root)
         self.futures: Dict[int, Optional[int]] = {
             n.node_id: n.streaming_future_extent() for n in self.order
         }
+        # how far the root's watermark trails the leaves' once every
+        # operator is idle (None when a nested GroupApply or a deferred
+        # node makes the lag state-dependent)
+        self.delay: Optional[int] = (
+            None
+            if any(isinstance(n, GroupApplyNode) for n in self.order)
+            else subplan_streaming_future(root)
+        )
         # node_id -> [(consumer node_id, input index)]
         self.consumers: Dict[int, List[Tuple[int, int]]] = {}
         for plan_node in self.order:
@@ -261,6 +271,22 @@ class _OpNode:
             self._fed_since_wave = 0
             self._idle_delta = -1  # < 0: no chain has gone idle yet
             self._linear_stages = _linear_stages(plan_node)
+            #: the wave index (docs/EXECUTION.md, "Wakeups"). A wave
+            #: advances only the active chains that can change: the ones
+            #: fed, or left unsettled, since their last advance
+            #: (``_dirty``: key -> rank) and the ones whose recorded
+            #: wakeup is at or below the wave's watermark (``_wakeups``).
+            #: ``_holds`` keeps every active chain's watermark, so the
+            #: group watermark is a heap top, not a scan. Both heaps hold
+            #: ``(value, rank, key)`` and are invalidated lazily: an entry
+            #: counts only while it matches the chain's recorded value
+            #: and activation rank. Ranks follow ``_active`` insertion
+            #: order, so due chains are visited in the order the
+            #: exhaustive loop over ``_active`` would visit them.
+            self._ranks = itertools.count()
+            self._dirty: Dict[Tuple, int] = {}
+            self._wakeups: List[Tuple[int, int, Tuple]] = []
+            self._holds: List[Tuple[int, int, Tuple]] = []
             #: deferred-wave scheduling state (docs/PARALLELISM.md,
             #: "Scheduling granularity"): feeds of the current —
             #: not-yet-boundary — wave, and complete waves awaiting one
@@ -590,10 +616,10 @@ class _OpNode:
         # advanced once per threshold's worth of events, not per chunk.
         threshold = self.flow.group_wave_events
         if threshold:
-            # a wave costs O(active keys), so it only pays for itself
-            # once a comparable volume of fresh input has accumulated;
-            # buffered input stays bounded by O(threshold + keys), both
-            # independent of stream length
+            # each wave advances every fed chain once, so batching waves
+            # pays once a comparable volume of fresh input has
+            # accumulated; buffered input stays bounded by
+            # O(threshold + keys), both independent of stream length
             if self._fed_since_wave < threshold + 2 * len(self._groups):
                 return
         self._fed_since_wave = 0
@@ -606,6 +632,8 @@ class _OpNode:
         """Buffer one batch of per-key events into driver-local chains."""
         node: GroupApplyNode = self.plan_node
         linear = self._linear_stages
+        active = self._active
+        dirty = self._dirty
         for key, events in per_key.items():
             chain = self._groups.get(key)
             if chain is None:
@@ -615,7 +643,13 @@ class _OpNode:
                     chain = _GroupChain(node, key, self.flow)
                 self._groups[key] = chain
             chain.buffer(events)
-            self._active[key] = chain
+            if key not in active:
+                # a fresh rank: entries the wave index holds from an
+                # earlier activation turn stale
+                chain.rank = next(self._ranks)
+                chain.wake = chain.hold = None
+                active[key] = chain
+            dirty[key] = chain.rank
 
     # -- deferred-wave scheduling (coarse dispatch granularity) --------------
 
@@ -794,7 +828,10 @@ class _OpNode:
             for key in feeds:
                 active[key] = groups[key]
             if tracer_enabled:
-                flow.tracer.metrics.histogram("dataflow.wave_width").observe(
+                # the window replay advances every active chain
+                metrics = flow.tracer.metrics
+                metrics.histogram("dataflow.wave_width").observe(len(active))
+                metrics.histogram("dataflow.chains_advanced").observe(
                     len(active)
                 )
             added = False
@@ -845,13 +882,19 @@ class _OpNode:
         self.watermark = MAX_TIME
 
     def _run_group_wave(self, w: int) -> None:
-        """One watermark wave over the driver-local active chains.
+        """One watermark wave over the driver-local chains.
 
-        Real-advances only non-idle chains; quiescent chains track the
-        watermark arithmetically (their delta is a plan constant, so
-        one representative bound covers all of them).
+        Advances only the active chains that can change at ``w`` — fed
+        or unsettled since their last advance, or with a wakeup at or
+        below ``w`` — in activation order; every other active chain's
+        watermark is provably frozen, so skipping it is unobservable.
+        Quiescent chains left ``_active`` and track the watermark
+        arithmetically (their delta is a plan constant, so one
+        representative bound covers all of them). Costs
+        O((fed + due) · chain + log active), not O(active).
         """
-        stats = self.flow.parallel_stats
+        flow = self.flow
+        stats = flow.parallel_stats
         if stats is not None:
             # the fine-grained schedule: one dispatch per wave
             stats.dispatches += 1
@@ -859,40 +902,123 @@ class _OpNode:
         pending = self._pending
         seq = self._seq
         added = False
-        items = list(self._active.items())
-        if self.flow.tracer.enabled:
-            # wave width is a pure function of the data and the wave
-            # schedule — identical across executors and seeds alike
-            self.flow.tracer.metrics.histogram("dataflow.wave_width").observe(
-                len(items)
-            )
-        if self._group_mode == "thread" and len(items) > 1:
+        active = self._active
+        due = self._due_keys(w)
+        chains = [active[key] for key in due]
+        if flow.tracer.enabled:
+            # both are pure functions of the data and the wave schedule —
+            # identical across executors and seeds alike
+            metrics = flow.tracer.metrics
+            metrics.histogram("dataflow.wave_width").observe(len(active))
+            metrics.histogram("dataflow.chains_advanced").observe(len(chains))
+        if self._group_mode == "thread" and len(chains) > 1:
             # chain computation fans out; the merge below consumes the
             # results in exactly the order the serial loop would produce
             # them, so sequence numbers — and output bytes — are identical
-            all_outs = self.flow.run_chain_tasks([c for _, c in items], w)
+            all_outs = flow.run_chain_tasks(chains, w)
         else:
             all_outs = None
-        for i, (key, chain) in enumerate(items):
+        for i, key in enumerate(due):
+            chain = chains[i]
             outs = chain.advance(w) if all_outs is None else all_outs[i]
             if outs:
                 pending.extend((out.le, next(seq), out) for out in outs)
                 added = True
             if chain.idle_delta is not None:
-                del self._active[key]
+                del active[key]
                 self._idle_delta = max(self._idle_delta, chain.idle_delta)
+            else:
+                self._settle(key, chain, w)
         if added:
             # timsort merges the sorted backlog with this wave's sorted
             # per-chain runs in near-linear time
             pending.sort()
         group_w = w if self._idle_delta < 0 else w - self._idle_delta
-        for chain in self._active.values():
-            group_w = min(group_w, chain.watermark)
+        hold = self._min_hold()
+        if hold < group_w:
+            group_w = hold
+        self._compact_wave_index()
         idx = bisect_left(pending, (group_w,))
         if idx:
             self._emit([item[2] for item in pending[:idx]])
             del pending[:idx]
         self.watermark = max(self.watermark, group_w)
+
+    def _due_keys(self, w: int) -> List[Tuple]:
+        """The keys a wave at ``w`` must advance, in activation order."""
+        due = self._dirty
+        self._dirty = {}
+        active = self._active
+        heap = self._wakeups
+        while heap and heap[0][0] <= w:
+            wake, rank, key = heapq.heappop(heap)
+            chain = active.get(key)
+            if chain is not None and chain.rank == rank and chain.wake == wake:
+                chain.wake = None
+                due[key] = rank
+        # ranks are unique, so keys never compare
+        return [key for _, key in sorted((r, k) for k, r in due.items())]
+
+    def _settle(self, key: Tuple, chain, w: int) -> None:
+        """Record a still-active chain's wakeup and watermark after its
+        advance at ``w``."""
+        wake = chain.next_wakeup(w)
+        if wake <= w:
+            chain.wake = None
+            self._dirty[key] = chain.rank
+        elif wake < MAX_TIME:
+            if wake != chain.wake:
+                chain.wake = wake
+                heapq.heappush(self._wakeups, (wake, chain.rank, key))
+        else:
+            chain.wake = None  # only new input can wake it
+        hold = chain.watermark
+        if hold != chain.hold:
+            chain.hold = hold
+            heapq.heappush(self._holds, (hold, chain.rank, key))
+
+    def _min_hold(self) -> int:
+        """The smallest active chain watermark (MAX_TIME when none)."""
+        active = self._active
+        heap = self._holds
+        while heap:
+            hold, rank, key = heap[0]
+            chain = active.get(key)
+            if chain is not None and chain.rank == rank and chain.hold == hold:
+                return hold
+            heapq.heappop(heap)
+        return MAX_TIME
+
+    def _compact_wave_index(self) -> None:
+        """Drop stale heap entries once they outnumber the live ones, so
+        a chain frozen below every other keeps memory bounded by the
+        active set (amortized O(1) per recorded entry)."""
+        limit = 2 * len(self._active) + 64
+        if len(self._holds) > limit:
+            self._holds = [
+                (c.hold, c.rank, k)
+                for k, c in self._active.items()
+                if c.hold is not None
+            ]
+            heapq.heapify(self._holds)
+        if len(self._wakeups) > limit:
+            self._wakeups = [
+                (c.wake, c.rank, k)
+                for k, c in self._active.items()
+                if c.wake is not None
+            ]
+            heapq.heapify(self._wakeups)
+
+    def _reindex_active(self) -> None:
+        """Rebuild the wave index over ``_active`` (after chains were
+        replaced wholesale): every active chain is due once."""
+        self._ranks = itertools.count()
+        self._wakeups = []
+        self._holds = []
+        for key, chain in self._active.items():
+            chain.rank = next(self._ranks)
+            chain.wake = chain.hold = None
+        self._dirty = {key: chain.rank for key, chain in self._active.items()}
 
     def _advance_group_apply_sharded(self) -> None:
         """GroupApply waves over persistent forked shard workers.
@@ -990,7 +1116,10 @@ class _OpNode:
         stats.waves += 1
         added = False
         if self.flow.tracer.enabled:
-            self.flow.tracer.metrics.histogram("dataflow.wave_width").observe(
+            # shard workers advance every active chain
+            metrics = self.flow.tracer.metrics
+            metrics.histogram("dataflow.wave_width").observe(len(self._active))
+            metrics.histogram("dataflow.chains_advanced").observe(
                 len(self._active)
             )
         if backend is not None and self._active:
@@ -1074,6 +1203,7 @@ class _OpNode:
 
         self._groups = {key: resolve(key) for key in self._groups}
         self._active = {key: resolve(key) for key in self._active}
+        self._reindex_active()
         backend, self._shards = self._shards, None
         backend.close()
         flow.parallel_stats.recovery.degradations += 1
@@ -1102,8 +1232,8 @@ _STATELESS_NODES = (WhereNode, ProjectNode, AlterLifetimeNode)
 
 
 def _linear_stages(node: GroupApplyNode):
-    """The sub-plan as ``(plan_nodes, futures, shared)`` when it is a
-    straight unary pipeline off the group input, else ``None``.
+    """The sub-plan as ``(plan_nodes, futures, shared, delay)`` when it
+    is a straight unary pipeline off the group input, else ``None``.
 
     Linear sub-plans (window → aggregate …, the overwhelmingly common
     shape) run on :class:`_LinearChain`, which drives the same operator
@@ -1111,7 +1241,8 @@ def _linear_stages(node: GroupApplyNode):
     GroupApply, binary operators, exchanges, unbounded rewrites — falls
     back to the general :class:`_GroupChain`. ``shared[i]`` is a
     pre-built operator for stateless stages (pure per-event functions),
-    ``None`` where each chain needs its own instance.
+    ``None`` where each chain needs its own instance; ``delay`` is the
+    sum of the futures (:attr:`_PlanMeta.delay`).
     """
     meta = _PlanMeta.of(node.subplan_root)
     order = meta.order
@@ -1130,7 +1261,7 @@ def _linear_stages(node: GroupApplyNode):
         n.make_operator() if isinstance(n, _STATELESS_NODES) else None
         for n in stages
     ]
-    return stages, [meta.futures[n.node_id] for n in stages], shared
+    return stages, [meta.futures[n.node_id] for n in stages], shared, meta.delay
 
 
 class _LinearChain:
@@ -1148,22 +1279,29 @@ class _LinearChain:
         "key_columns",
         "ops",
         "futures",
+        "delay",
         "watermark",
         "idle_delta",
+        "rank",
+        "wake",
+        "hold",
         "_stage_w",
         "_buf",
     )
 
     def __init__(self, node: GroupApplyNode, key: Tuple, stages):
-        plan_nodes, futures, shared = stages
+        plan_nodes, futures, shared, delay = stages
         self.key_columns = dict(zip(node.keys, key))
         self.ops = [
             op if op is not None else p.make_operator()
             for p, op in zip(plan_nodes, shared)
         ]
         self.futures = futures
+        self.delay = delay
         self.watermark = MIN_TIME
         self.idle_delta: Optional[int] = None
+        # wave-index bookkeeping, owned by the GroupApply node
+        self.rank = self.wake = self.hold = None
         self._stage_w = [MIN_TIME] * len(futures)
         self._buf: List[Event] = []
 
@@ -1215,6 +1353,28 @@ class _LinearChain:
             out.append(e.with_payload(payload))
         return out
 
+    def next_wakeup(self, watermark: int) -> int:
+        """Right after ``advance(watermark)``: the smallest later wave
+        watermark at which advancing could emit, change state, or move
+        this chain's watermark (``<= watermark``: advance every wave).
+
+        Every stage maps its input watermark ``x`` to
+        ``max(floor, min(x, hold) - future)``, so the chain's watermark
+        is ``min(w - delay, C)`` for a constant ``C`` until some
+        operator wakes. Below ``watermark - delay`` it is held by that
+        constant: frozen. Otherwise it tracks ``w`` and the chain is due
+        at the next higher watermark.
+        """
+        if self.watermark < watermark - self.delay:
+            wake = MAX_TIME
+        else:
+            wake = watermark + 1
+        for op in self.ops:
+            t = op.next_wakeup()
+            if t < wake:
+                wake = t
+        return wake
+
 
 class _GroupChain:
     """One group's live sub-plan inside a GroupApply node.
@@ -1226,7 +1386,10 @@ class _GroupChain:
     custom AlterLifetime defers inside the chain.
     """
 
-    __slots__ = ("key_columns", "sub", "watermark", "idle_delta")
+    __slots__ = (
+        "key_columns", "sub", "delay", "watermark", "idle_delta",
+        "rank", "wake", "hold",
+    )
 
     def __init__(self, node: GroupApplyNode, key: Tuple, flow: "Dataflow"):
         self.key_columns = dict(zip(node.keys, key))
@@ -1236,11 +1399,14 @@ class _GroupChain:
             allow_unstreamable=flow.allow_unstreamable,
             group_wave_events=flow.group_wave_events,
         )
+        self.delay = _PlanMeta.of(node.subplan_root).delay
         self.watermark = MIN_TIME
         #: when not None the chain is quiescent: a watermark ``w`` maps to
         #: output watermark ``w - idle_delta`` (a plan constant) and emits
         #: nothing, so the sub-flow need not be touched at all
         self.idle_delta: Optional[int] = None
+        # wave-index bookkeeping, owned by the GroupApply node
+        self.rank = self.wake = self.hold = None
 
     def _attach_key(self, events: Iterable[Event]) -> List[Event]:
         out = []
@@ -1270,6 +1436,21 @@ class _GroupChain:
         if self.sub.is_quiescent():
             self.idle_delta = watermark - self.watermark
         return outs
+
+    def next_wakeup(self, watermark: int) -> int:
+        """The :meth:`_LinearChain.next_wakeup` contract for a sub-flow.
+
+        The sub-flow's input watermark is ``max(src, w)``, where ``src``
+        already covers every fed LE, so nothing moves while ``w <= src``;
+        past it the frozen-watermark argument of the linear chain holds
+        with ``src`` in place of ``w``.
+        """
+        if self.delay is None:
+            return MIN_TIME  # nested GroupApply or deferred node
+        src = self.sub.source_watermark(GROUP_SOURCE)
+        wake = MAX_TIME if self.watermark < src - self.delay else src + 1
+        t = self.sub.next_wakeup()
+        return t if t < wake else wake
 
 
 class _ChainProxy:
@@ -1970,6 +2151,35 @@ class Dataflow:
         for plan_node in self._order:
             n = self._nodes[plan_node.node_id]
             yield plan_node, n.events_in, n.events_out, n.busy_seconds
+
+    def next_wakeup(self) -> int:
+        """The smallest source watermark at which advancing could emit
+        or change operator state, given no further input (see
+        :meth:`UnaryOperator.next_wakeup`). Only meaningful right after
+        an ``advance`` pass, like :meth:`is_quiescent`."""
+        wake = MAX_TIME
+        for node in self._op_nodes:
+            op = node._operator
+            if op is None:
+                # sources and exchanges hold nothing; a nested GroupApply
+                # always counts as due
+                if isinstance(node.plan_node, GroupApplyNode):
+                    return MIN_TIME
+            elif node.deferred:
+                return MIN_TIME
+            elif len(node.inputs) == 1:
+                # every advance pass drains a unary node's input
+                t = op.next_wakeup()
+                if t < wake:
+                    wake = t
+            else:
+                for buf in node.inputs:
+                    if buf.cursor < len(buf.events):
+                        # undelivered binary input: a rising watermark
+                        # on the other side can release it
+                        return MIN_TIME
+                # otherwise a binary operator emits only on delivery
+        return wake
 
     def is_quiescent(self) -> bool:
         """True iff no future (non-flush) watermark can emit anything.

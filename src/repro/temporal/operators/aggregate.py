@@ -352,3 +352,7 @@ class SnapshotAggregate(UnaryOperator):
 
     def is_idle(self) -> bool:
         return not self._pending
+
+    def next_wakeup(self) -> int:
+        # the earliest expiration closes the open segment
+        return self._pending[0][0] if self._pending else MAX_TIME

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from ..event import Event
+from ..time import MIN_TIME
 
 #: Tag for events arriving on the left input of a binary operator.
 LEFT = 0
@@ -84,6 +85,20 @@ class UnaryOperator:
         input). The default is conservative: never skip.
         """
         return False
+
+    def next_wakeup(self) -> int:
+        """The smallest input watermark at which ``on_watermark`` could
+        emit or change state, given no further input.
+
+        Below it, ``on_watermark`` is a no-op and ``watermark_out(w)``
+        is ``min(w, h)`` for a hold ``h`` fixed by the current state, so
+        a GroupApply wave may skip the chain holding this operator
+        without touching it (docs/EXECUTION.md, "Wakeups").
+        ``MAX_TIME`` means only new input can wake the operator. The
+        default, ``MIN_TIME``, means "always due": it is conservative,
+        like :meth:`is_idle`, and always correct.
+        """
+        return MIN_TIME
 
     def apply(self, events: Sequence[Event]) -> List[Event]:
         """Run the operator over a whole LE-ordered stream (batch mode)."""

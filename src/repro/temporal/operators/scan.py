@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable
 
 from ..event import Event
+from ..time import MAX_TIME
 from .base import UnaryOperator
 
 ScanFn = Callable[[Any, dict, int], Iterable[dict]]
@@ -37,3 +38,6 @@ class ScanUDO(UnaryOperator):
     def is_idle(self) -> bool:
         # folded state only ever emits on events, never on watermarks
         return True
+
+    def next_wakeup(self) -> int:
+        return MAX_TIME

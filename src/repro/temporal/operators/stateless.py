@@ -82,6 +82,9 @@ class Where(UnaryOperator):
     def is_idle(self) -> bool:
         return True
 
+    def next_wakeup(self) -> int:
+        return MAX_TIME
+
 
 class Project(UnaryOperator):
     """Rewrite each payload with ``fn`` (schema change, derived columns)."""
@@ -111,6 +114,9 @@ class Project(UnaryOperator):
 
     def is_idle(self) -> bool:
         return True
+
+    def next_wakeup(self) -> int:
+        return MAX_TIME
 
 
 class AlterLifetime(UnaryOperator):
@@ -224,6 +230,9 @@ class AlterLifetime(UnaryOperator):
     def is_idle(self) -> bool:
         return True
 
+    def next_wakeup(self) -> int:
+        return MAX_TIME
+
 
 def sliding_window(w: int) -> AlterLifetime:
     """Sliding window of width ``w``: set ``re = le + w``.
@@ -336,6 +345,10 @@ class CountWindow(UnaryOperator):
     def is_idle(self) -> bool:
         return not self._buffer
 
+    def next_wakeup(self) -> int:
+        # a watermark never releases anything: only arrivals do
+        return MAX_TIME
+
 
 def count_window(n: int) -> CountWindow:
     """Events stay active until ``n`` newer events arrive (Figure 3)."""
@@ -387,6 +400,12 @@ class SessionWindow(UnaryOperator):
 
     def is_idle(self) -> bool:
         return not self._session
+
+    def next_wakeup(self) -> int:
+        # on_watermark closes the session once w - last LE >= gap
+        if self._session:
+            return self._session[-1].le + self.gap
+        return MAX_TIME
 
 
 def session_window(gap: int) -> SessionWindow:

@@ -172,3 +172,6 @@ class SnapshotUDO(UnaryOperator):
 
     def is_idle(self) -> bool:
         return not self._pending
+
+    def next_wakeup(self) -> int:
+        return self._pending[0][0] if self._pending else MAX_TIME

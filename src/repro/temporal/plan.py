@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .operators import (
     AggSpec,
@@ -387,6 +387,11 @@ class GroupApplyNode(PlanNode):
     def lifetime_extent(self):
         return subplan_extent(self.subplan_root)
 
+    def streaming_future_extent(self):
+        # per-node streaming futures, not the lifetime extent: a count
+        # or session window inside the group stays streamable
+        return subplan_streaming_future(self.subplan_root)
+
     def output_columns(self):
         sub = self.subplan_root.output_columns()
         if sub is None:
@@ -678,6 +683,20 @@ def subplan_extent(root: PlanNode) -> Optional[Tuple[int, int]]:
         return result
 
     return visit(root)
+
+
+def subplan_streaming_future(root: PlanNode) -> Optional[int]:
+    """The largest streaming future extent accumulated along any
+    root-to-leaf path of a plan; ``None`` when some node cannot stream."""
+    memo: Dict[int, Optional[int]] = {}
+    for node in topological_order(root):
+        own = node.streaming_future_extent()
+        below = [memo[c.node_id] for c in node.inputs]
+        if own is None or None in below:
+            memo[node.node_id] = None
+        else:
+            memo[node.node_id] = own + max(below, default=0)
+    return memo[root.node_id]
 
 
 def count_operators(root: PlanNode) -> int:

@@ -120,7 +120,9 @@ class StreamingEngine:
         self._reorder: Dict[str, List] = {}
         self._reorder_seq = itertools.count()
         root = query.to_plan() if isinstance(query, Query) else query
-        self._flow = Dataflow(root, group_input=_group_input)
+        self._flow = Dataflow(
+            root, group_input=_group_input, tracer=self.context.tracer
+        )
         self._flushed = False
 
     # -- public API -----------------------------------------------------------

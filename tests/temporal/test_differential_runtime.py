@@ -40,13 +40,23 @@ def canonical_bytes(events) -> bytes:
     return json.dumps(rows, sort_keys=True, default=str).encode()
 
 
-def _portfolio():
+def _group_portfolio():
+    """GroupApply sub-plans covering every kind of chain wakeup: aggregate
+    expirations, session gaps, count windows (woken by arrivals only),
+    hop boundaries, a shift with a non-zero future, the BotElim union of
+    two thresholded counts (a general, non-linear chain), and a union
+    holding back input until the other side's watermark rises."""
     src = Query.source("logs")
-    clicks = src.where(lambda p: p["StreamId"] == 1)
-    other = src.where(lambda p: p["StreamId"] == 0).window(15)
+
+    def thresholded(g, stream):
+        return (
+            g.where(lambda p, s=stream: p["StreamId"] == s)
+            .window(10)
+            .count(into="n")
+            .where(lambda p: p["n"] > 1)
+        )
+
     return [
-        src.window(10).count(into="n"),
-        src.hopping_window(20, 10).count(into="n"),
         src.group_apply("UserId", lambda g: g.window(8).count(into="n")),
         src.group_apply(
             "UserId",
@@ -54,12 +64,44 @@ def _portfolio():
                 "StreamId", lambda gg: gg.window(12).count(into="n")
             ),
         ),
+        src.group_apply(
+            "UserId", lambda g: thresholded(g, 1).union(thresholded(g, 0))
+        ),
+        # held left input that only a rising right watermark releases
+        src.group_apply(
+            "UserId",
+            lambda g: g.where(lambda p: p["StreamId"] == 1)
+            .window(10)
+            .count(into="n")
+            .shift(5)
+            .union(g.where(lambda p: p["StreamId"] == 0)),
+        ),
+        src.group_apply(
+            "UserId", lambda g: g.session_window(5).count(into="n")
+        ),
+        src.group_apply("UserId", lambda g: g.count_window(3).count(into="n")),
+        src.group_apply(
+            "UserId", lambda g: g.hopping_window(20, 10).count(into="n")
+        ),
+        src.group_apply(
+            "UserId", lambda g: g.shift(-4, 0).count(into="n")
+        ),
+    ]
+
+
+def _portfolio():
+    src = Query.source("logs")
+    clicks = src.where(lambda p: p["StreamId"] == 1)
+    other = src.where(lambda p: p["StreamId"] == 0).window(15)
+    return [
+        src.window(10).count(into="n"),
+        src.hopping_window(20, 10).count(into="n"),
         clicks.temporal_join(other, on="UserId"),
         clicks.anti_semi_join(other, on="UserId"),
         clicks.union(other),
         src.count_window(3).count(into="n"),
         src.session_window(5).count(into="n"),
-    ]
+    ] + _group_portfolio()
 
 
 N_PLANS = len(_portfolio())
@@ -157,9 +199,16 @@ batch_splits = st.lists(
 )
 
 
+def ordered_bytes(events) -> bytes:
+    """The exact bytes of an output batch, emission order included."""
+    rows = [[e.le, e.re, sorted(e.payload.items())] for e in events]
+    return json.dumps(rows, sort_keys=True, default=str).encode()
+
+
 def _watermark_trajectory(rows, plan_idx, splits, executor=None):
     """Drive the dataflow by hand in hypothesis-chosen batches and record
-    ``(output_watermark, emitted)`` after every advance and the flush.
+    ``(output_watermark, emitted bytes)`` after every advance and the
+    flush.
 
     A parallel GroupApply merges per-chain watermarks with a min-over-keys;
     the trajectory — not just the final output — must equal the serial one
@@ -184,9 +233,9 @@ def _watermark_trajectory(rows, plan_idx, splits, executor=None):
             flow.feed("logs", batch)
             flow.set_watermarks(batch[-1].le)
             out = flow.advance()
-            trajectory.append((flow.output_watermark, len(out)))
+            trajectory.append((flow.output_watermark, ordered_bytes(out)))
         out = flow.flush()
-        trajectory.append((flow.output_watermark, len(out)))
+        trajectory.append((flow.output_watermark, ordered_bytes(out)))
     finally:
         flow.close()
     return trajectory

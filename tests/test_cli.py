@@ -310,6 +310,7 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "calibration" in out
         assert "trace events" in out
+        assert "group waves:" in out
 
         with open(trace) as fp:
             doc = json.load(fp)
@@ -347,6 +348,9 @@ class TestProfile:
         assert doc["spans"] > 0
         assert set(doc["spans_by_category"]) >= {"engine", "cluster", "timr"}
         assert doc["calibration"]["fragments"]
+        waves = doc["group_waves"]
+        assert set(waves) == {"waves", "active_chains", "chains_advanced"}
+        assert 0 <= waves["chains_advanced"] <= waves["active_chains"]
 
     def test_out_dir_collects_relative_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
